@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench cover fuzz figures experiments clean
+.PHONY: all build vet test race bench perfbench cover fuzz figures experiments clean
 
 all: build vet test
 
@@ -20,6 +20,10 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# perfbench is its own module, so the root ./... never compiles it.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

@@ -15,6 +15,7 @@ import (
 	"icsched/internal/benchjson"
 	"icsched/internal/butterfly"
 	"icsched/internal/dag"
+	"icsched/internal/difftest"
 	"icsched/internal/exec"
 	"icsched/internal/heur"
 	"icsched/internal/icserver"
@@ -100,26 +101,6 @@ func loadgenFamilies(smoke bool) []loadgenFamily {
 	}
 }
 
-// fnvNodeValue hashes v's ID together with its parents' values (FNV-1a),
-// the same order-independent ground truth internal/difftest uses: any
-// execution respecting the dependencies computes identical values.
-func fnvNodeValue(g *dag.Dag, v dag.NodeID, vals []uint64) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime
-			x >>= 8
-		}
-	}
-	mix(uint64(v))
-	for _, p := range g.Parents(v) {
-		mix(vals[p])
-	}
-	return h
-}
-
 // loadgenReference computes the ground-truth values with the serial
 // in-process executor (exec.Run, one worker) — the fleet results must
 // match it bit for bit.
@@ -130,7 +111,7 @@ func loadgenReference(g *dag.Dag, order []dag.NodeID) ([]uint64, error) {
 	}
 	vals := make([]uint64, g.NumNodes())
 	if _, err := exec.Run(g, rank, 1, func(v dag.NodeID) error {
-		vals[v] = fnvNodeValue(g, v, vals)
+		vals[v] = difftest.NodeValue(g, v, vals)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -154,7 +135,7 @@ func runCell(fam loadgenFamily, clients, batch int, ref []uint64) (loadgenResult
 	compute := func(v dag.NodeID, _ string) error {
 		mu.Lock()
 		defer mu.Unlock()
-		vals[v] = fnvNodeValue(g, v, vals)
+		vals[v] = difftest.NodeValue(g, v, vals)
 		return nil
 	}
 

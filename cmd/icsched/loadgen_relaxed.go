@@ -206,7 +206,7 @@ func runRelaxedCell(fam loadgenFamily, clients, k, batch int, ref []uint64, exac
 	return res, nil
 }
 
-// fnvNodeValueAtomic is fnvNodeValue with atomic parent loads, for the
+// fnvNodeValueAtomic is difftest.NodeValue with atomic parent loads, for the
 // lock-free compute path of the sweep cells.
 func fnvNodeValueAtomic(g *dag.Dag, v dag.NodeID, vals []uint64) uint64 {
 	const prime = 1099511628211

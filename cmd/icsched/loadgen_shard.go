@@ -28,6 +28,7 @@ import (
 
 	"icsched/internal/benchjson"
 	"icsched/internal/dag"
+	"icsched/internal/difftest"
 	"icsched/internal/heur"
 	"icsched/internal/icserver"
 	"icsched/internal/mesh"
@@ -181,7 +182,7 @@ func runShardBench(cfg shardBenchConfig) (shardFile, error) {
 // its child's compute.
 func shardBenchValues(g *dag.Dag) ([]uint64, func(v dag.NodeID)) {
 	vals := make([]uint64, g.NumNodes())
-	return vals, func(v dag.NodeID) { vals[v] = fnvNodeValue(g, v, vals) }
+	return vals, func(v dag.NodeID) { vals[v] = difftest.NodeValue(g, v, vals) }
 }
 
 // runShardBaselineCell measures the journaled single server with the

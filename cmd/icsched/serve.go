@@ -12,20 +12,32 @@ import (
 	"syscall"
 	"time"
 
+	"icsched/internal/dag"
 	"icsched/internal/heur"
 	"icsched/internal/icserver"
 	"icsched/internal/sched"
+	"icsched/internal/shard"
 	"icsched/internal/wal"
+)
+
+// Connection limits of the serve listener: a client that trickles its
+// request header (slowloris) or body is cut off instead of holding a
+// connection forever, and idle keep-alive connections are reaped.
+const (
+	serveReadHeaderTimeout = 2 * time.Second
+	serveReadTimeout       = 30 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
 )
 
 // cmdServe runs the Internet-computing task server for a family on the
 // given address, allocating in IC-optimal order.  Clients follow the
 // protocol in internal/icserver (POST /task, POST /done, POST /failed,
-// GET /status, GET /healthz, GET /metrics).  -pprof additionally mounts
-// net/http/pprof under /debug/pprof/ for live profiling.  On
-// SIGINT/SIGTERM the server drains: /task refuses new work while
-// in-flight leases get up to one lease period to report, then the
-// listener shuts down.
+// GET /status, GET /healthz, GET /metrics).  -shards K instead cuts the
+// dag across K shard servers behind one coordinator.  -pprof
+// additionally mounts net/http/pprof under /debug/pprof/ for live
+// profiling.  On SIGINT/SIGTERM the server drains: /task refuses new
+// work while in-flight leases get up to one lease period to report,
+// then the listener shuts down.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	withPprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -50,33 +62,24 @@ func cmdServe(args []string) error {
 	}
 	lease := time.Minute
 	order := sched.Complete(g, nonsinks)
+	var t served
 	if *numShards > 1 {
-		return serveSharded(g, order, f.name, size, addr, *numShards, *walDir, *relaxedShards, *withPprof, lease)
-	}
-	opts := []icserver.Option{icserver.WithLease(lease)}
-	if *relaxedShards > 0 {
-		opts = append(opts, icserver.WithRelaxed(*relaxedShards))
-	}
-	var srv *icserver.Server
-	if *walDir != "" {
-		srv, err = icserver.Recover(*walDir, g, heur.Static("IC-OPTIMAL", order),
-			wal.Options{}, opts...)
+		t, err = newSharded(g, order, *numShards, *walDir, *relaxedShards, lease)
 		if err != nil {
 			return err
 		}
-		st := srv.Status()
-		fmt.Printf("journal: %s (epoch %d, resuming at %d/%d tasks)\n",
-			*walDir, st.Epoch, st.Completed, st.Total)
+		fmt.Printf("serving %s (size %d, %d tasks) sharded %d ways on %s\n", f.name, size, g.NumNodes(), *numShards, addr)
+		fmt.Println("protocol per shard: POST /shard/<i>/tasks {\"k\": n} | POST /shard/<i>/report | GET /shard/<i>/status; coordinator: GET /status | GET /healthz | GET /metrics")
 	} else {
-		srv = icserver.New(g, heur.Static("IC-OPTIMAL", order), opts...)
+		t, err = newSingle(g, order, *walDir, *relaxedShards, lease)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("serving %s (size %d, %d tasks) on %s\n", f.name, size, g.NumNodes(), addr)
+		fmt.Println("protocol: POST /task | POST /done {\"task\": id} | POST /failed {\"task\": id} | GET /status | GET /healthz | GET /metrics")
 	}
-	if *relaxedShards > 0 {
-		fmt.Printf("grant path: lock-free relaxed core, %d shards\n", *relaxedShards)
-	}
-	fmt.Printf("serving %s (size %d, %d tasks) on %s\n", f.name, size, g.NumNodes(), addr)
-	fmt.Println("protocol: POST /task | POST /done {\"task\": id} | POST /failed {\"task\": id} | GET /status | GET /healthz | GET /metrics")
 
-	handler := srv.Handler()
+	handler := t.handler
 	if *withPprof {
 		mux := http.NewServeMux()
 		mux.Handle("/", handler)
@@ -88,7 +91,7 @@ func cmdServe(args []string) error {
 		handler = mux
 		fmt.Println("pprof: mounted at /debug/pprof/")
 	}
-	httpSrv := &http.Server{Addr: addr, Handler: handler}
+	httpSrv := newHTTPServer(addr, handler)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 
@@ -101,7 +104,7 @@ func cmdServe(args []string) error {
 		fmt.Printf("\n%s: draining in-flight leases (up to %v)...\n", sig, lease)
 		drainCtx, cancel := context.WithTimeout(context.Background(), lease)
 		defer cancel()
-		if err := srv.Shutdown(drainCtx); err != nil {
+		if err := t.shutdown(drainCtx); err != nil {
 			fmt.Println(err)
 		}
 		closeCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
@@ -109,9 +112,80 @@ func cmdServe(args []string) error {
 		if err := httpSrv.Shutdown(closeCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			return err
 		}
-		st := srv.Status()
-		fmt.Printf("stopped: %d/%d tasks completed, %d reissues, %d quarantined\n",
-			st.Completed, st.Total, st.Reissues, st.Quarantined)
+		fmt.Println(t.summary())
 		return nil
 	}
+}
+
+// newHTTPServer wraps a handler in the serve listener's limits.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: serveReadHeaderTimeout,
+		ReadTimeout: serveReadTimeout, IdleTimeout: serveIdleTimeout}
+}
+
+// served is what cmdServe runs behind its listener: one task server or
+// a shard coordinator.
+type served struct {
+	handler  http.Handler
+	shutdown func(context.Context) error
+	summary  func() string
+}
+
+// newSingle builds one task server (journaled and resumed with -wal).
+func newSingle(g *dag.Dag, order []dag.NodeID, walDir string, relaxed int, lease time.Duration) (served, error) {
+	opts := []icserver.Option{icserver.WithLease(lease)}
+	if relaxed > 0 {
+		opts = append(opts, icserver.WithRelaxed(relaxed))
+	}
+	var srv *icserver.Server
+	if walDir != "" {
+		var err error
+		srv, err = icserver.Recover(walDir, g, heur.Static("IC-OPTIMAL", order), wal.Options{}, opts...)
+		if err != nil {
+			return served{}, err
+		}
+		st := srv.Status()
+		fmt.Printf("journal: %s (epoch %d, resuming at %d/%d tasks)\n", walDir, st.Epoch, st.Completed, st.Total)
+	} else {
+		srv = icserver.New(g, heur.Static("IC-OPTIMAL", order), opts...)
+	}
+	if relaxed > 0 {
+		fmt.Printf("grant path: lock-free relaxed core, %d shards\n", relaxed)
+	}
+	return served{srv.Handler(), srv.Shutdown, func() string {
+		st := srv.Status()
+		return fmt.Sprintf("stopped: %d/%d tasks completed, %d reissues, %d quarantined",
+			st.Completed, st.Total, st.Reissues, st.Quarantined)
+	}}, nil
+}
+
+// newSharded cuts the dag into k schedule-guided components served by k
+// embedded task servers behind one coordinator, each shard mounted
+// under /shard/<i>/ with cross-shard arcs forwarded (and, with -wal,
+// journaled) by the bus.  The coordinator-level GET /status, /healthz
+// and /metrics aggregate all shards.
+func newSharded(g *dag.Dag, order []dag.NodeID, k int, walDir string, relaxed int, lease time.Duration) (served, error) {
+	// Contiguous chunks of a topological order keep the cut forward-only
+	// and the eligibility frontier spread across shards.
+	p, err := shard.ByOrder(g, k, g.TopoOrder())
+	if err != nil {
+		return served{}, err
+	}
+	coord, err := shard.New(g, order, p, shard.Config{Dir: walDir, Lease: lease, Relaxed: relaxed})
+	if err != nil {
+		return served{}, err
+	}
+	if walDir != "" {
+		st := coord.Status()
+		fmt.Printf("journal: %s (bus + %d shard journals, resuming at %d/%d tasks)\n", walDir, p.K, st.Completed, st.Total)
+	}
+	for _, s := range p.PerShard() {
+		fmt.Printf("  shard %d: %d tasks, %d arcs in, %d arcs out (/shard/%d/)\n",
+			s.Shard, s.Nodes, s.CrossIn, s.CrossOut, s.Shard)
+	}
+	return served{coord.Handler(), coord.Shutdown, func() string {
+		st := coord.Status()
+		return fmt.Sprintf("stopped: %d/%d tasks completed, %d reissues, %d quarantined, %d cross-shard credits",
+			st.Completed, st.Total, st.Reissues, st.Quarantined, st.ArcsForwarded)
+	}}, nil
 }

@@ -18,6 +18,7 @@ import (
 	"icsched/internal/benchjson"
 	"icsched/internal/butterfly"
 	"icsched/internal/dag"
+	"icsched/internal/difftest"
 	"icsched/internal/jobs"
 	"icsched/internal/mesh"
 	"icsched/internal/prefix"
@@ -151,7 +152,7 @@ func (r *streamRegistry) compute(job string, task dag.NodeID, _ string) error {
 		r.mu.Lock()
 		g, ok := r.graphs[job]
 		if ok {
-			r.vals[job][task] = fnvNodeValue(g, task, r.vals[job])
+			r.vals[job][task] = difftest.NodeValue(g, task, r.vals[job])
 			r.mu.Unlock()
 			return nil
 		}

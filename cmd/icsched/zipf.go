@@ -13,6 +13,7 @@ import (
 	"icsched/internal/butterfly"
 	"icsched/internal/dag"
 	"icsched/internal/dagio"
+	"icsched/internal/difftest"
 	"icsched/internal/heur"
 	"icsched/internal/icserver"
 	"icsched/internal/jobs"
@@ -202,7 +203,7 @@ func runZipf(cfg zipfConfig) (zipfFile, error) {
 				done := make([]dag.NodeID, len(grant.Tasks))
 				mu.Lock()
 				for i, tg := range grant.Tasks {
-					vals[grant.Job][tg.Task] = fnvNodeValue(shape.g, tg.Task, vals[grant.Job])
+					vals[grant.Job][tg.Task] = difftest.NodeValue(shape.g, tg.Task, vals[grant.Job])
 					done[i] = tg.Task
 				}
 				mu.Unlock()

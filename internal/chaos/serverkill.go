@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"icsched/internal/dag"
+	"icsched/internal/difftest"
 	"icsched/internal/exec"
 	"icsched/internal/faults"
 	"icsched/internal/heur"
@@ -20,28 +21,6 @@ import (
 	"icsched/internal/sched"
 	"icsched/internal/wal"
 )
-
-// fnvNodeValue hashes v's ID together with its parents' values (FNV-1a),
-// the order-independent ground truth internal/difftest and the loadgen
-// harness use: any execution respecting the dependencies computes
-// identical values, so a re-executed task after a server crash is
-// bitwise idempotent.
-func fnvNodeValue(g *dag.Dag, v dag.NodeID, vals []uint64) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime
-			x >>= 8
-		}
-	}
-	mix(uint64(v))
-	for _, p := range g.Parents(v) {
-		mix(vals[p])
-	}
-	return h
-}
 
 // fnvReference computes the uncrashed ground truth with the serial
 // in-process executor — the crashed-and-recovered fleet must match it
@@ -53,7 +32,7 @@ func fnvReference(g *dag.Dag, order []dag.NodeID) ([]uint64, error) {
 	}
 	vals := make([]uint64, g.NumNodes())
 	if _, err := exec.Run(g, rank, 1, func(v dag.NodeID) error {
-		vals[v] = fnvNodeValue(g, v, vals)
+		vals[v] = difftest.NodeValue(g, v, vals)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -173,7 +152,7 @@ func ServerKill(cfg Config, size, kills int) (Report, error) {
 	compute := func(v dag.NodeID, _ string) error {
 		cmu.Lock()
 		defer cmu.Unlock()
-		vals[v] = fnvNodeValue(g, v, vals)
+		vals[v] = difftest.NodeValue(g, v, vals)
 		return nil
 	}
 

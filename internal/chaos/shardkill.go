@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"icsched/internal/dag"
+	"icsched/internal/difftest"
 	"icsched/internal/faults"
 	"icsched/internal/mesh"
 	"icsched/internal/sched"
@@ -79,7 +80,7 @@ func ShardKill(cfg Config, size, shards, kills int) (Report, error) {
 		gv := p.Global(sh, task)
 		cmu.Lock()
 		defer cmu.Unlock()
-		vals[gv] = fnvNodeValue(g, gv, vals)
+		vals[gv] = difftest.NodeValue(g, gv, vals)
 		return nil
 	}
 

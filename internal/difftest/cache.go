@@ -117,7 +117,7 @@ func driveReplay(g *dag.Dag, order []dag.NodeID, ref []uint64) error {
 		if i >= len(order) || v != order[i] {
 			return fmt.Errorf("grant %d = task %d, want %d", i, v, order[i])
 		}
-		vals[v] = nodeValue(g, v, vals)
+		vals[v] = NodeValue(g, v, vals)
 		if _, err := srv.Complete(v); err != nil {
 			return err
 		}

@@ -374,15 +374,17 @@ func randomLegalOrder(rng *rand.Rand, g *dag.Dag, st *sched.State) []dag.NodeID 
 func refValues(g *dag.Dag) []uint64 {
 	vals := make([]uint64, g.NumNodes())
 	for _, v := range g.TopoOrder() {
-		vals[v] = nodeValue(g, v, vals)
+		vals[v] = NodeValue(g, v, vals)
 	}
 	return vals
 }
 
-// nodeValue hashes v's ID together with its parents' values (FNV-1a).
+// NodeValue hashes v's ID together with its parents' values (FNV-1a).
 // Parents are read in g's fixed adjacency order, so any execution
-// respecting the dependencies computes the same value.
-func nodeValue(g *dag.Dag, v dag.NodeID, vals []uint64) uint64 {
+// respecting the dependencies computes the same value.  It is the one
+// ground truth the chaos, loadgen and jobs checks compare against: a
+// task re-executed after a crash is bitwise idempotent.
+func NodeValue(g *dag.Dag, v dag.NodeID, vals []uint64) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -413,7 +415,7 @@ func checkExecSerial(g *dag.Dag, order []dag.NodeID, want []int, ref []uint64) e
 	tr := obs.NewTrace()
 	vals := make([]uint64, g.NumNodes())
 	started, err := exec.RunRetryObserved(g, rank, 1, 1, func(v dag.NodeID) error {
-		vals[v] = nodeValue(g, v, vals)
+		vals[v] = NodeValue(g, v, vals)
 		return nil
 	}, tr)
 	if err != nil {
@@ -448,7 +450,7 @@ func checkExecParallel(g *dag.Dag, workers int, order []dag.NodeID, ref []uint64
 	tr := obs.NewTrace()
 	vals := make([]uint64, g.NumNodes())
 	started, err := exec.RunRetryObserved(g, rank, workers, 1, func(v dag.NodeID) error {
-		vals[v] = nodeValue(g, v, vals)
+		vals[v] = NodeValue(g, v, vals)
 		return nil
 	}, tr)
 	if err != nil {
@@ -641,7 +643,7 @@ func driveBatched(g *dag.Dag, order []dag.NodeID, ref []uint64, nextK func() int
 			return nil, nil, fmt.Errorf("request %d (k=%d) granted %v, model predicts %v", i, k, batch, predicted)
 		}
 		for _, v := range batch {
-			vals[v] = nodeValue(g, v, vals)
+			vals[v] = NodeValue(g, v, vals)
 			packet, err := st.Execute(v)
 			if err != nil {
 				return nil, nil, fmt.Errorf("model rejects granted node %d: %w", v, err)

@@ -158,7 +158,7 @@ func checkRelaxedServer(g *dag.Dag, order []dag.NodeID, ref []uint64, k int) err
 		if state != icserver.AllocOK {
 			return fmt.Errorf("stalled after %d grants", len(realized))
 		}
-		vals[v] = nodeValue(g, v, vals)
+		vals[v] = NodeValue(g, v, vals)
 		realized = append(realized, v)
 		if _, err := srv.Complete(v); err != nil {
 			return fmt.Errorf("complete %d: %w", v, err)

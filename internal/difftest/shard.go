@@ -56,7 +56,7 @@ func checkShard(g *dag.Dag, order []dag.NodeID, want []int, ref []uint64, rng *r
 		if gv != v {
 			return fmt.Errorf("step %d: shard %d granted global %d, restriction predicts %d", i, s, gv, v)
 		}
-		vals[gv] = nodeValue(g, gv, vals)
+		vals[gv] = NodeValue(g, gv, vals)
 		if _, err := srv.Complete(got); err != nil {
 			return fmt.Errorf("step %d: complete: %w", i, err)
 		}

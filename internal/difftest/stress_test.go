@@ -45,7 +45,7 @@ func TestServerStressConcurrentClients(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		seen[v]++
-		vals[v] = nodeValue(g, v, vals)
+		vals[v] = NodeValue(g, v, vals)
 		return nil
 	}
 
@@ -156,7 +156,7 @@ func TestServerStressConcurrentBatchedChaos(t *testing.T) {
 		defer mu.Unlock()
 		// Recomputation after a lease reissue is idempotent: parent
 		// values are final once written (parents completed first).
-		vals[v] = nodeValue(g, v, vals)
+		vals[v] = NodeValue(g, v, vals)
 		computed[v] = true
 		return nil
 	}

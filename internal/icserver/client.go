@@ -1,26 +1,13 @@
 package icserver
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"icsched/internal/dag"
 )
-
-// ErrCrash, when returned by a Compute function, makes the client vanish
-// immediately without reporting anything to the server — simulating a
-// crashed client, whose task the server recovers via lease expiry.  Used
-// by fault-injection harnesses.
-var ErrCrash = errors.New("icserver: client crashed")
 
 // Client is a remote IC client: it polls the server for work, runs the
 // task function, and reports completions, until the server says the
@@ -72,22 +59,11 @@ type Client struct {
 	// every POST so server-side traces attribute events per client.
 	ID string
 	// Seed seeds the jitter rng.  Zero assigns the next per-process
-	// default seed, so even an unconfigured fleet backs off
-	// deterministically run to run; harnesses that replay faults
-	// (internal/chaos) set explicit per-client seeds.
+	// default seed (shared with jobs.Client and shard.Worker), so even an
+	// unconfigured fleet backs off deterministically run to run; harnesses
+	// that replay faults (internal/chaos) set explicit per-client seeds.
 	Seed int64
-
-	rngOnce sync.Once
-	rngMu   sync.Mutex
-	rng     *rand.Rand
 }
-
-// clientSeq hands out default jitter seeds: the n-th Client that first
-// jitters without an explicit Seed gets seed n.  A process that builds
-// its fleet in a fixed order therefore gets identical jitter sequences
-// on every run — unlike the old global-rand seeding, which made two
-// same-seed chaos runs diverge.
-var clientSeq atomic.Int64
 
 // Stats reports one client's activity.
 type Stats struct {
@@ -109,378 +85,70 @@ type Stats struct {
 	Resyncs int
 }
 
-func (c *Client) defaults() (idle, idleMax, retry, retryMax time.Duration, attempts int, httpc *http.Client) {
-	idle, idleMax, retry, retryMax = c.IdleWait, c.IdleWaitMax, c.RetryWait, c.RetryWaitMax
-	if idle <= 0 {
-		idle = 2 * time.Millisecond
-	}
-	if idleMax <= 0 {
-		idleMax = 250 * time.Millisecond
-	}
-	if idleMax < idle {
-		idleMax = idle
-	}
-	if retry <= 0 {
-		retry = 5 * time.Millisecond
-	}
-	if retryMax <= 0 {
-		retryMax = 500 * time.Millisecond
-	}
-	if retryMax < retry {
-		retryMax = retry
-	}
-	attempts = c.MaxAttempts
-	if attempts <= 0 {
-		attempts = 8
-	}
-	httpc = c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	return
-}
-
-// jitter picks a uniform duration in [d/2, d) — "equal jitter", which
-// decorrelates a fleet of clients that went idle at the same moment.
-// The rng is seeded deterministically (Seed, or the next per-process
-// default) and initialized race-safely, so concurrent use of one client
-// and replay harnesses both behave.
-func (c *Client) jitter(d time.Duration) time.Duration {
-	c.rngOnce.Do(func() {
-		seed := c.Seed
-		if seed == 0 {
-			seed = clientSeq.Add(1)
-		}
-		c.rng = rand.New(rand.NewSource(seed))
-	})
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	return half + time.Duration(c.rng.Int63n(int64(half)))
-}
-
-// isStaleEpoch reports whether a response is the server's typed 409
-// stale-epoch rejection (as opposed to an ordinary 409 state conflict).
-func isStaleEpoch(code int, body []byte) bool {
-	if code != http.StatusConflict {
-		return false
-	}
-	var rej staleEpochResponse
-	return json.Unmarshal(body, &rej) == nil && rej.Error == staleEpochError
-}
-
-// resyncEpoch refreshes the client's fencing token after a stale-epoch
-// rejection: per protocol via GET /status, falling back to the epoch
-// carried in the rejection body when /status is unreachable (the server
-// may be mid-restart again).
-func (c *Client) resyncEpoch(ctx context.Context, httpc *http.Client, body []byte, stats *Stats) (uint64, error) {
-	stats.Resyncs++
-	if st, err := FetchStatus(ctx, httpc, c.BaseURL); err == nil && st.Epoch != 0 {
-		return st.Epoch, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	var rej staleEpochResponse
-	if json.Unmarshal(body, &rej) == nil && rej.Epoch != 0 {
-		return rej.Epoch, nil
-	}
-	return 0, fmt.Errorf("icserver client: stale-epoch rejection without a recoverable epoch")
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // Run loops until the computation finishes, the context is cancelled,
-// retries are exhausted, or Compute crashes.  With Batch > 0 it speaks
-// the batched protocol; otherwise the legacy one-task-per-round-trip one.
+// retries are exhausted, or Compute crashes.  With Batch > 0 each step
+// drains the batched protocol; otherwise it is one legacy /task round.
 func (c *Client) Run(ctx context.Context) (Stats, error) {
-	if c.Batch > 0 {
-		return c.runBatched(ctx)
+	e := NewEngine(Engine{BaseURL: c.BaseURL, HTTP: c.HTTP, ID: c.ID, Seed: c.Seed,
+		IdleWait: c.IdleWait, IdleWaitMax: c.IdleWaitMax, RetryWait: c.RetryWait,
+		RetryWaitMax: c.RetryWaitMax, MaxAttempts: c.MaxAttempts, Batch: c.Batch}, 0)
+	r := &Route{}
+	if c.Compute != nil {
+		r.Compute = func(_ string, v dag.NodeID, name string) error { return c.Compute(v, name) }
 	}
-	idleBase, idleMax, retryBase, retryMax, maxAttempts, httpc := c.defaults()
-	var stats Stats
-	var epoch uint64 // fencing token of the last grant; 0 until first grant
-	idle := idleBase
-	for {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		code, body, err := c.postRetry(ctx, httpc, "/task", nil, retryBase, retryMax, maxAttempts, &stats)
-		if err != nil {
-			return stats, err
-		}
-		switch code {
-		case http.StatusGone:
-			return stats, nil
-		case http.StatusNoContent:
-			stats.IdlePolls++
-			if err := sleepCtx(ctx, c.jitter(idle)); err != nil {
-				return stats, err
-			}
-			if idle *= 2; idle > idleMax {
-				idle = idleMax
-			}
-			continue
-		case http.StatusOK:
-			idle = idleBase // got work: reset the idle backoff
-		default:
-			return stats, fmt.Errorf("icserver client: /task returned %d: %s", code, body)
-		}
-		var task taskResponse
-		if err := json.Unmarshal(body, &task); err != nil {
-			return stats, fmt.Errorf("icserver client: %w", err)
-		}
-		if task.Epoch != 0 {
-			epoch = task.Epoch
-		}
-		if c.Compute != nil {
-			if err := c.Compute(task.Task, task.Name); err != nil {
-				if errors.Is(err, ErrCrash) {
-					return stats, err // vanish: no report, lease expiry recovers
-				}
-				// Hand the task back early so the server requeues it now
-				// instead of waiting out the lease.
-				if epoch, err = c.postFenced(ctx, httpc, "/failed", task.Task, epoch,
-					retryBase, retryMax, maxAttempts, &stats); err != nil {
-					return stats, err
-				}
-				stats.Failed++
-				continue
-			}
-		}
-		var err2 error
-		if epoch, err2 = c.postFenced(ctx, httpc, "/done", task.Task, epoch,
-			retryBase, retryMax, maxAttempts, &stats); err2 != nil {
-			return stats, err2
-		}
-		stats.Completed++
+	step := func() (bool, bool, error) { return e.Drain(ctx, r) }
+	if c.Batch <= 0 {
+		step = func() (bool, bool, error) { return legacyStep(ctx, e, r) }
 	}
+	err := e.Run(ctx, step)
+	return e.Stats, err
 }
 
-// postFenced sends a single-task report (/done or /failed) carrying the
-// client's fencing token, resyncing and re-sending across server epoch
-// bumps: a stale-epoch 409 means the server restarted since the grant,
-// so the client re-reads the epoch and repeats the report under it —
-// the restarted server either applies it (the task came back requeued)
-// or absorbs it as an idempotent duplicate (it was journaled before the
-// crash).  Returns the adopted epoch.
-func (c *Client) postFenced(ctx context.Context, httpc *http.Client, path string, task dag.NodeID, epoch uint64,
-	retryBase, retryMax time.Duration, attempts int, stats *Stats) (uint64, error) {
-	for try := 0; try < attempts; try++ {
-		payload, err := json.Marshal(doneRequest{Task: task, Epoch: epoch})
-		if err != nil {
-			return epoch, err
-		}
-		code, body, err := c.postRetry(ctx, httpc, path, payload, retryBase, retryMax, attempts, stats)
-		if err != nil {
-			return epoch, err
-		}
-		if isStaleEpoch(code, body) {
-			if epoch, err = c.resyncEpoch(ctx, httpc, body, stats); err != nil {
-				return epoch, err
-			}
-			continue
-		}
-		if code != http.StatusOK {
-			return epoch, fmt.Errorf("icserver client: %s returned %d: %s", path, code, body)
-		}
-		return epoch, nil
+// legacyStep is one round of the single-task protocol: POST /task, then
+// report the task on /done, or hand it back early on /failed after a
+// Compute error so the server requeues it now instead of waiting out the
+// lease.  The report carries the grant's fencing epoch and is re-sent
+// across epoch bumps like a batched one.
+func legacyStep(ctx context.Context, e *Engine, r *Route) (moved, finished bool, err error) {
+	code, body, err := e.postRetry(ctx, "/task", nil)
+	switch {
+	case err != nil:
+		return false, false, err
+	case code == http.StatusNoContent:
+		return false, false, nil // nothing eligible
+	case code == http.StatusGone:
+		return false, true, nil
 	}
-	return epoch, fmt.Errorf("icserver client: %s kept hitting stale epochs after %d resyncs", path, attempts)
-}
-
-// runBatched is the batched-protocol loop: ask for up to `ask` tasks in
-// one POST /tasks, compute every granted task locally, then ack the
-// whole batch — completions and failures mixed — in one POST /report
-// that piggybacks the next ask, so the steady state is ONE round trip
-// (and one server lock acquisition) per batch.  /tasks is only polled to
-// bootstrap and whenever a piggybacked grant comes back empty.  The ask
-// adapts: it starts at 1, doubles after a full grant (up to Batch), holds
-// steady on a short grant, and resets to 1 after an empty one.  ErrCrash
-// from Compute abandons the entire unreported remainder of the batch, so
-// lease expiry must recover every task granted to a crashed client.
-func (c *Client) runBatched(ctx context.Context) (Stats, error) {
-	idleBase, idleMax, retryBase, retryMax, maxAttempts, httpc := c.defaults()
-	var stats Stats
-	var epoch uint64 // fencing token of the last grant; 0 until first grant
-	idle := idleBase
-	ask := 1
-	var batch []taskResponse // granted but not yet computed
-	for {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		if len(batch) == 0 {
-			// No piggybacked grant in hand: poll /tasks, backing off while
-			// the server has nothing eligible.
-			payload, err := json.Marshal(tasksRequest{K: ask})
-			if err != nil {
-				return stats, err
-			}
-			code, body, err := c.postRetry(ctx, httpc, "/tasks", payload, retryBase, retryMax, maxAttempts, &stats)
-			if err != nil {
-				return stats, err
-			}
-			switch code {
-			case http.StatusGone:
-				return stats, nil
-			case http.StatusOK:
-			default:
-				return stats, fmt.Errorf("icserver client: /tasks returned %d: %s", code, body)
-			}
-			var grant tasksResponse
-			if err := json.Unmarshal(body, &grant); err != nil {
-				return stats, fmt.Errorf("icserver client: %w", err)
-			}
-			if grant.Epoch != 0 {
-				epoch = grant.Epoch
-			}
-			if len(grant.Tasks) == 0 {
-				stats.IdlePolls++
-				ask = 1 // nothing eligible: next round probes with the minimum ask
-				if err := sleepCtx(ctx, c.jitter(idle)); err != nil {
-					return stats, err
-				}
-				if idle *= 2; idle > idleMax {
-					idle = idleMax
-				}
-				continue
-			}
-			batch = grant.Tasks
-		}
-		idle = idleBase
-		stats.Batches++
-		report := reportRequest{}
-		for _, task := range batch {
-			if c.Compute == nil {
-				report.Done = append(report.Done, task.Task)
-				continue
-			}
-			if err := c.Compute(task.Task, task.Name); err != nil {
-				if errors.Is(err, ErrCrash) {
-					return stats, err // vanish mid-batch: lease expiry recovers the rest
-				}
-				report.Failed = append(report.Failed, task.Task)
-				continue
-			}
-			report.Done = append(report.Done, task.Task)
-		}
-		if len(batch) == ask {
-			if ask *= 2; ask > c.Batch {
-				ask = c.Batch
-			}
-		}
-		// A short grant keeps the ask: over-asking costs nothing (the
-		// server clamps the grant to the ELIGIBLE prefix under the same
-		// single lock acquisition), while shrinking to the granted count
-		// would pin the whole fleet to one-task asks on any dag whose
-		// frontier is narrower than clients × Batch.
-		report.K = ask // piggyback the next ask on the ack
-		var acked reportResponse
-		for try := 0; ; try++ {
-			report.Epoch = epoch
-			payload, err := json.Marshal(report)
-			if err != nil {
-				return stats, err
-			}
-			code, body, err := c.postRetry(ctx, httpc, "/report", payload, retryBase, retryMax, maxAttempts, &stats)
-			if err != nil {
-				return stats, err
-			}
-			if isStaleEpoch(code, body) {
-				// The server restarted since the grant: resync the fencing
-				// token and repeat the same report under it.  The recovered
-				// server applies it (the tasks came back requeued) or absorbs
-				// it as idempotent duplicates (journaled before the crash).
-				if try+1 >= maxAttempts {
-					return stats, fmt.Errorf("icserver client: /report kept hitting stale epochs after %d resyncs", try+1)
-				}
-				if epoch, err = c.resyncEpoch(ctx, httpc, body, &stats); err != nil {
-					return stats, err
-				}
-				continue
-			}
-			if code != http.StatusOK {
-				return stats, fmt.Errorf("icserver client: /report returned %d: %s", code, body)
-			}
-			if err := json.Unmarshal(body, &acked); err != nil {
-				return stats, fmt.Errorf("icserver client: %w", err)
-			}
-			break
-		}
-		if acked.Epoch != 0 {
-			epoch = acked.Epoch
-		}
-		stats.Completed += len(report.Done)
-		stats.Failed += len(report.Failed)
-		if acked.Finished {
-			return stats, nil // terminal: all tasks done (or degraded)
-		}
-		batch = acked.Tasks // empty → fall back to the /tasks poll above
+	var t taskResponse
+	if err := decode("/task", code, body, &t); err != nil {
+		return false, false, err
 	}
-}
-
-// postRetry POSTs path, retrying transport errors and 5xx responses with
-// capped exponential backoff + jitter.  It returns the first conclusive
-// status, or the last failure once attempts are exhausted.
-func (c *Client) postRetry(ctx context.Context, httpc *http.Client, path string, body []byte,
-	base, max time.Duration, attempts int, stats *Stats) (int, []byte, error) {
-	wait := base
-	var lastErr error
-	for try := 0; try < attempts; try++ {
-		if try > 0 {
-			stats.Retries++
-			if err := sleepCtx(ctx, c.jitter(wait)); err != nil {
-				return 0, nil, err
-			}
-			if wait *= 2; wait > max {
-				wait = max
-			}
-		}
-		code, respBody, err := post(ctx, httpc, c.BaseURL+path, body, c.ID)
-		switch {
-		case err != nil:
-			if ctx.Err() != nil {
-				return 0, nil, ctx.Err()
-			}
-			lastErr = err // transport failure (includes dropped responses)
-		case code >= 500:
-			lastErr = fmt.Errorf("icserver client: %s returned %d: %s", path, code, respBody)
-		default:
-			return code, respBody, nil
-		}
+	if t.Epoch != 0 {
+		r.epoch = t.Epoch
 	}
-	return 0, nil, fmt.Errorf("icserver client: %s failed after %d attempts: %w", path, attempts, lastErr)
+	path := "/done"
+	if err := r.compute("", t); errors.Is(err, ErrCrash) {
+		return true, false, err // vanish: no report, lease expiry recovers
+	} else if err != nil {
+		path = "/failed"
+	}
+	if err := e.ack(ctx, r, path, "", nil, func(epoch uint64) any {
+		return doneRequest{Task: t.Task, Epoch: epoch}
+	}); err != nil {
+		return true, false, err
+	}
+	if path == "/done" {
+		e.Stats.Completed++
+	} else {
+		e.Stats.Failed++
+	}
+	return true, false, nil
 }
 
 // FetchStatus reads the server's progress snapshot.
 func FetchStatus(ctx context.Context, httpc *http.Client, baseURL string) (Status, error) {
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/status", nil)
-	if err != nil {
-		return Status{}, err
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return Status{}, err
-	}
-	defer resp.Body.Close()
 	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if _, err := getJSON(ctx, httpc, baseURL+"/status", &st); err != nil {
 		return Status{}, err
 	}
 	return st, nil
@@ -489,44 +157,7 @@ func FetchStatus(ctx context.Context, httpc *http.Client, baseURL string) (Statu
 // FetchHealth reads the server's /healthz state, reporting the HTTP
 // status code alongside the payload (503 while draining).
 func FetchHealth(ctx context.Context, httpc *http.Client, baseURL string) (status string, code int, err error) {
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/healthz", nil)
-	if err != nil {
-		return "", 0, err
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
 	var h healthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return "", resp.StatusCode, err
-	}
-	return h.Status, resp.StatusCode, nil
-}
-
-func post(ctx context.Context, httpc *http.Client, url string, body []byte, clientID string) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if clientID != "" {
-		req.Header.Set(clientHeader, clientID)
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, data, nil
+	code, err = getJSON(ctx, httpc, baseURL+"/healthz", &h)
+	return h.Status, code, err
 }

@@ -1,21 +1,30 @@
-package icserver
+package icserver_test
 
 import (
+	"context"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"icsched/internal/icserver"
+	"icsched/internal/jobs"
+	"icsched/internal/shard"
 )
 
 // TestJitterSeedReplay is the determinism half of the jitter fix: two
-// clients with the same Seed must produce identical backoff sequences.
+// engines with the same Seed must produce identical backoff sequences.
 // (The old code seeded lazily from the global rand, so no two runs ever
 // backed off the same way and chaos seeds were not replayable.)
 func TestJitterSeedReplay(t *testing.T) {
-	a := &Client{Seed: 99}
-	b := &Client{Seed: 99}
+	a := &icserver.Engine{Seed: 99}
+	b := &icserver.Engine{Seed: 99}
 	for i := 0; i < 200; i++ {
 		d := time.Duration(1+i%16) * time.Millisecond
-		ja, jb := a.jitter(d), b.jitter(d)
+		ja, jb := a.Jitter(d), b.Jitter(d)
 		if ja != jb {
 			t.Fatalf("draw %d: seeds equal but jitter %v != %v", i, ja, jb)
 		}
@@ -25,42 +34,76 @@ func TestJitterSeedReplay(t *testing.T) {
 	}
 }
 
-// TestJitterDefaultSeedsDistinct checks that unconfigured clients do not
-// all collapse onto one sequence: the per-process default hands each its
-// own seed.
+// TestJitterDefaultSeedsDistinct checks, for every worker type, that
+// unconfigured workers do not all collapse onto one backoff sequence:
+// the process-wide default hands each its own seed.  Each worker idles
+// against a server with nothing eligible while the engine's sleep is
+// swapped for a recorder.
 func TestJitterDefaultSeedsDistinct(t *testing.T) {
-	a := &Client{}
-	b := &Client{}
-	same := true
-	for i := 0; i < 64; i++ {
-		if a.jitter(time.Second) != b.jitter(time.Second) {
-			same = false
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"tasks":[]}`))
+	}))
+	defer ts.Close()
+	errStop := errors.New("enough draws")
+	var draws []time.Duration
+	defer icserver.SetSleep(func(_ context.Context, d time.Duration) error {
+		if draws = append(draws, d); len(draws) == 16 {
+			return errStop
 		}
-	}
-	if same {
-		t.Fatal("two default-seeded clients produced identical jitter sequences")
+		return nil
+	})()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"icserver.Client", func() error {
+			_, err := (&icserver.Client{BaseURL: ts.URL, Batch: 4}).Run(ctx)
+			return err
+		}},
+		{"jobs.Client", func() error {
+			_, err := (&jobs.Client{BaseURL: ts.URL}).Run(ctx)
+			return err
+		}},
+		{"shard.Worker", func() error {
+			_, err := (&shard.Worker{BaseURL: ts.URL, Shards: 1}).Run(ctx)
+			return err
+		}},
+	} {
+		var seqs [2][]time.Duration
+		for i := range seqs {
+			draws = nil
+			if err := tc.run(); !errors.Is(err, errStop) {
+				t.Fatalf("%s: run ended with %v", tc.name, err)
+			}
+			seqs[i] = draws
+		}
+		if reflect.DeepEqual(seqs[0], seqs[1]) {
+			t.Errorf("%s: two default-seeded workers produced identical jitter sequences %v", tc.name, seqs[0])
+		}
 	}
 }
 
 // TestJitterTinyDuration covers the d/2 == 0 degenerate range.
 func TestJitterTinyDuration(t *testing.T) {
-	c := &Client{Seed: 1}
-	if got := c.jitter(time.Nanosecond); got != time.Nanosecond {
+	e := &icserver.Engine{Seed: 1}
+	if got := e.Jitter(time.Nanosecond); got != time.Nanosecond {
 		t.Fatalf("jitter(1ns) = %v", got)
 	}
 }
 
-// TestJitterConcurrentInit hammers first use from many goroutines; run
-// under -race this pins the once-guarded rng initialization.
+// TestJitterConcurrentInit has many unseeded engines take their first
+// draw at once; run under -race this pins the process-wide default-seed
+// counter they share.
 func TestJitterConcurrentInit(t *testing.T) {
-	c := &Client{Seed: 7}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			e := &icserver.Engine{}
 			for j := 0; j < 100; j++ {
-				d := c.jitter(10 * time.Millisecond)
+				d := e.Jitter(10 * time.Millisecond)
 				if d < 5*time.Millisecond || d >= 10*time.Millisecond {
 					t.Errorf("jitter out of range: %v", d)
 					return

@@ -426,10 +426,12 @@ type tasksRequest struct {
 }
 
 // tasksResponse carries a batch grant; Tasks is empty when nothing is
-// eligible (the batched analog of the legacy 204).
+// eligible (the batched analog of the legacy 204).  Job is set only by
+// the job service (internal/jobs), whose grants are one job's tasks.
 type tasksResponse struct {
 	Tasks []taskResponse `json:"tasks"`
 	Epoch uint64         `json:"epoch,omitempty"`
+	Job   string         `json:"job,omitempty"`
 }
 
 // reportRequest is the batched /report payload: a mixed batch of
@@ -447,12 +449,17 @@ type reportRequest struct {
 // reportResponse is the /report reply: the batch summary plus, when the
 // request piggybacked an ask (K > 0), the next grant.  Finished reports
 // the terminal state (the batched analog of the legacy 410) — it can only
-// turn true on a piggybacked report, never on a plain ack.
+// turn true on a piggybacked report, never on a plain ack.  The job
+// service's reply has the same shape with the next grant nested whole
+// under Grant and the job's terminal state in JobFinished; this server
+// leaves both unset.
 type reportResponse struct {
 	BatchReport
-	Tasks    []taskResponse `json:"tasks,omitempty"`
-	Finished bool           `json:"finished,omitempty"`
-	Epoch    uint64         `json:"epoch,omitempty"`
+	Tasks       []taskResponse `json:"tasks,omitempty"`
+	Finished    bool           `json:"finished,omitempty"`
+	Epoch       uint64         `json:"epoch,omitempty"`
+	JobFinished bool           `json:"jobFinished,omitempty"`
+	Grant       *tasksResponse `json:"grant,omitempty"`
 }
 
 // BatchReport summarizes what a /report batch did; it is also the
@@ -581,9 +588,10 @@ func IsUnavailable(err error) bool {
 	return errors.Is(err, errKilled) || errors.Is(err, errJournalFailed)
 }
 
-// staleEpochError is the typed 409 body marker a fenced client resyncs
-// on (via GET /status).
-const staleEpochError = "stale epoch"
+// StaleEpoch is the "error" marker of the typed 409 body rejecting a
+// report fenced against an older incarnation (here and in the job
+// service); a client resyncs on it via GET /status.
+const StaleEpoch = "stale epoch"
 
 // staleEpochResponse is the 409 payload rejecting a stale-epoch report.
 type staleEpochResponse struct {
@@ -605,7 +613,7 @@ func (s *Server) fenceStale(w http.ResponseWriter, reqEpoch uint64) bool {
 	s.m.staleReports.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusConflict)
-	_ = json.NewEncoder(w).Encode(staleEpochResponse{Error: staleEpochError, Epoch: s.epoch})
+	_ = json.NewEncoder(w).Encode(staleEpochResponse{Error: StaleEpoch, Epoch: s.epoch})
 	return true
 }
 

@@ -1,15 +1,8 @@
 package jobs
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
-	"sync"
 	"time"
 
 	"icsched/internal/dag"
@@ -24,12 +17,13 @@ import (
 // piggybacks the next ask — the reply's grant may come from a DIFFERENT
 // job, chosen by the server's weighted-fair policy.
 //
-// Transient failures behave like the icserver client: transport errors
-// and 5xx (including the typed 503 a mid-recovery service returns) are
-// retried with capped exponential backoff + jitter, and a stale-epoch
-// 409 — this job was recovered since the grant — resyncs the job's
-// current epoch and repeats the same report under it, which the
-// recovered job applies or absorbs as idempotent duplicates.
+// It runs on the icserver worker engine, so transient failures behave
+// like the icserver client's: transport errors and 5xx (including the
+// typed 503 a mid-recovery service returns) are retried with capped
+// exponential backoff + jitter, and a stale-epoch 409 — this job was
+// recovered since the grant — resyncs the job's current epoch from GET
+// /status and repeats the same report under it, which the recovered job
+// applies or absorbs as idempotent duplicates.
 type Client struct {
 	// BaseURL of the job service.
 	BaseURL string
@@ -45,8 +39,9 @@ type Client struct {
 	Batch int
 	// ID is sent as the X-IC-Client header.
 	ID string
-	// Seed seeds the jitter rng (0 = unseeded, nondeterministic order
-	// only in timing, never in results).
+	// Seed seeds the jitter rng.  Zero assigns the next per-process
+	// default seed, shared with the other worker types, so unseeded
+	// workers never back off in lockstep.
 	Seed int64
 	// IdleWait/IdleWaitMax and RetryWait/RetryWaitMax bound the idle and
 	// retry backoff (defaults 2ms/250ms and 5ms/500ms).
@@ -54,10 +49,6 @@ type Client struct {
 	RetryWait, RetryWaitMax time.Duration
 	// MaxAttempts bounds tries per request (default 8).
 	MaxAttempts int
-
-	rngOnce sync.Once
-	rngMu   sync.Mutex
-	rng     *rand.Rand
 }
 
 // ClientStats reports one fleet worker's activity.
@@ -71,246 +62,23 @@ type ClientStats struct {
 	JobsFinished int // reports whose ack said the job reached terminal state
 }
 
-func (c *Client) defaults() (idle, idleMax, retry, retryMax time.Duration, attempts, batch int, httpc *http.Client) {
-	idle, idleMax, retry, retryMax = c.IdleWait, c.IdleWaitMax, c.RetryWait, c.RetryWaitMax
-	if idle <= 0 {
-		idle = 2 * time.Millisecond
-	}
-	if idleMax <= 0 {
-		idleMax = 250 * time.Millisecond
-	}
-	if idleMax < idle {
-		idleMax = idle
-	}
-	if retry <= 0 {
-		retry = 5 * time.Millisecond
-	}
-	if retryMax <= 0 {
-		retryMax = 500 * time.Millisecond
-	}
-	if retryMax < retry {
-		retryMax = retry
-	}
-	if attempts = c.MaxAttempts; attempts <= 0 {
-		attempts = 8
-	}
-	if batch = c.Batch; batch <= 0 {
-		batch = 8
-	}
-	if httpc = c.HTTP; httpc == nil {
-		httpc = http.DefaultClient
-	}
-	return
-}
-
-// jitter picks a uniform duration in [d/2, d) — equal jitter, seeded
-// deterministically per worker.
-func (c *Client) jitter(d time.Duration) time.Duration {
-	c.rngOnce.Do(func() {
-		c.rng = rand.New(rand.NewSource(c.Seed))
-	})
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	return half + time.Duration(c.rng.Int63n(int64(half)))
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // Run works the fleet loop until ctx is cancelled (the normal way a
 // streaming fleet stops) or an unrecoverable protocol error occurs.
 // Context cancellation is reported as ctx.Err(); callers treat it as a
 // clean stop.
 func (c *Client) Run(ctx context.Context) (ClientStats, error) {
-	idleBase, idleMax, retryBase, retryMax, maxAttempts, maxBatch, httpc := c.defaults()
-	var stats ClientStats
-	idle := idleBase
-	ask := 1
-	var grant GrantSet // in hand: one job's tasks
-	for {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		if len(grant.Tasks) == 0 {
-			payload, err := json.Marshal(allocRequest{K: ask})
-			if err != nil {
-				return stats, err
-			}
-			code, body, err := c.postRetry(ctx, httpc, "/tasks", payload, retryBase, retryMax, maxAttempts, &stats)
-			if err != nil {
-				return stats, err
-			}
-			if code != http.StatusOK {
-				return stats, fmt.Errorf("jobs client: /tasks returned %d: %s", code, body)
-			}
-			if err := json.Unmarshal(body, &grant); err != nil {
-				return stats, fmt.Errorf("jobs client: %w", err)
-			}
-			if len(grant.Tasks) == 0 {
-				stats.IdlePolls++
-				ask = 1
-				if err := sleepCtx(ctx, c.jitter(idle)); err != nil {
-					return stats, err
-				}
-				if idle *= 2; idle > idleMax {
-					idle = idleMax
-				}
-				continue
-			}
-		}
-		idle = idleBase
-		stats.Batches++
-		report := reportRequest{Job: grant.Job, Epoch: grant.Epoch}
-		for _, t := range grant.Tasks {
-			if c.Compute == nil {
-				report.Done = append(report.Done, t.Task)
-				continue
-			}
-			if err := c.Compute(grant.Job, t.Task, t.Name); err != nil {
-				if errors.Is(err, icserver.ErrCrash) {
-					return stats, err // vanish mid-batch: lease expiry recovers
-				}
-				report.Failed = append(report.Failed, t.Task)
-				continue
-			}
-			report.Done = append(report.Done, t.Task)
-		}
-		if len(grant.Tasks) == ask {
-			if ask *= 2; ask > maxBatch {
-				ask = maxBatch
-			}
-		}
-		report.K = ask
-		var acked ReportResult
-		for try := 0; ; try++ {
-			payload, err := json.Marshal(report)
-			if err != nil {
-				return stats, err
-			}
-			code, body, err := c.postRetry(ctx, httpc, "/report", payload, retryBase, retryMax, maxAttempts, &stats)
-			if err != nil {
-				return stats, err
-			}
-			if code == http.StatusConflict {
-				var rej staleEpochResponse
-				if json.Unmarshal(body, &rej) == nil && rej.Error == "stale epoch" {
-					// This job was recovered since the grant: adopt its current
-					// epoch and repeat the same report — applied to requeued
-					// tasks, or absorbed as idempotent duplicates.
-					if try+1 >= maxAttempts {
-						return stats, fmt.Errorf("jobs client: /report kept hitting stale epochs after %d resyncs", try+1)
-					}
-					stats.Resyncs++
-					report.Epoch = c.resyncEpoch(ctx, httpc, report.Job, rej.Epoch)
-					continue
-				}
-			}
-			if code != http.StatusOK {
-				return stats, fmt.Errorf("jobs client: /report returned %d: %s", code, body)
-			}
-			if err := json.Unmarshal(body, &acked); err != nil {
-				return stats, fmt.Errorf("jobs client: %w", err)
-			}
-			break
-		}
-		stats.Completed += len(report.Done)
-		stats.Failed += len(report.Failed)
-		if acked.JobFinished {
-			stats.JobsFinished++
-		}
-		grant = acked.Grant
-	}
-}
-
-// resyncEpoch refreshes one job's fencing token after a stale-epoch
-// rejection: per protocol via the GET /status job list, falling back to
-// the epoch carried in the rejection body.
-func (c *Client) resyncEpoch(ctx context.Context, httpc *http.Client, job string, fallback uint64) uint64 {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/status", nil)
-	if err != nil {
-		return fallback
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return fallback
-	}
-	defer resp.Body.Close()
-	var st statusResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return fallback
-	}
-	for _, j := range st.Jobs {
-		if j.Job == job && j.Epoch != 0 {
-			return j.Epoch
-		}
-	}
-	return fallback
-}
-
-// postRetry POSTs path, retrying transport errors and 5xx (including
-// the typed 503 of a service mid-recovery) with capped exponential
-// backoff + jitter.
-func (c *Client) postRetry(ctx context.Context, httpc *http.Client, path string, body []byte,
-	base, max time.Duration, attempts int, stats *ClientStats) (int, []byte, error) {
-	wait := base
-	var lastErr error
-	for try := 0; try < attempts; try++ {
-		if try > 0 {
-			stats.Retries++
-			if err := sleepCtx(ctx, c.jitter(wait)); err != nil {
-				return 0, nil, err
-			}
-			if wait *= 2; wait > max {
-				wait = max
-			}
-		}
-		code, respBody, err := c.post(ctx, httpc, c.BaseURL+path, body)
-		switch {
-		case err != nil:
-			if ctx.Err() != nil {
-				return 0, nil, ctx.Err()
-			}
-			lastErr = err
-		case code >= 500:
-			lastErr = fmt.Errorf("jobs client: %s returned %d: %s", path, code, respBody)
-		default:
-			return code, respBody, nil
-		}
-	}
-	return 0, nil, fmt.Errorf("jobs client: %s failed after %d attempts: %w", path, attempts, lastErr)
-}
-
-func (c *Client) post(ctx context.Context, httpc *http.Client, url string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.ID != "" {
-		req.Header.Set("X-IC-Client", c.ID)
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, data, nil
+	e := icserver.NewEngine(icserver.Engine{BaseURL: c.BaseURL, HTTP: c.HTTP, ID: c.ID, Seed: c.Seed,
+		IdleWait: c.IdleWait, IdleWaitMax: c.IdleWaitMax, RetryWait: c.RetryWait,
+		RetryWaitMax: c.RetryWaitMax, MaxAttempts: c.MaxAttempts, Batch: c.Batch}, 8)
+	r := &icserver.Route{Compute: c.Compute,
+		Report: func(job string, done, failed []dag.NodeID, k int, epoch uint64) any {
+			return reportRequest{Job: job, Epoch: epoch, Done: done, Failed: failed, K: k}
+		}}
+	err := e.Run(ctx, func() (bool, bool, error) {
+		moved, _, err := e.Drain(ctx, r)
+		return moved, false, err // the service never finishes
+	})
+	s := e.Stats
+	return ClientStats{Completed: s.Completed, Failed: s.Failed, Batches: s.Batches, IdlePolls: s.IdlePolls,
+		Retries: s.Retries, Resyncs: s.Resyncs, JobsFinished: e.JobsFinished}, err
 }

@@ -101,7 +101,7 @@ func writeServiceError(w http.ResponseWriter, err error) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusConflict)
 		_ = json.NewEncoder(w).Encode(staleEpochResponse{
-			Error: "stale epoch", Epoch: stale.Epoch})
+			Error: icserver.StaleEpoch, Epoch: stale.Epoch})
 	case errors.Is(err, ErrUnknownJob):
 		http.Error(w, err.Error(), http.StatusNotFound)
 	case icserver.IsDuplicateAck(err):

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"icsched/internal/dag"
+	"icsched/internal/difftest"
 )
 
 func postJSON(t *testing.T, url string, body any) (int, []byte) {
@@ -93,7 +94,7 @@ func TestHTTPFleetEndToEnd(t *testing.T) {
 		if !ok {
 			return fmt.Errorf("grant for unknown job %s", job)
 		}
-		vals[job][task] = fnvNodeValue(g, task, vals[job])
+		vals[job][task] = difftest.NodeValue(g, task, vals[job])
 		return nil
 	}
 	ctx, cancel := context.WithCancel(context.Background())

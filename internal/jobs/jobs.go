@@ -451,6 +451,10 @@ func (s *Server) analyzeCached(j *Job) error {
 	if err != nil {
 		return err
 	}
+	// Published under the lock: status snapshots read these fields while
+	// the pipeline is still running.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	j.order = res.Order
 	j.cacheHit = res.Hit
 	// Replay requires an exact-labeling entry: identity translation means

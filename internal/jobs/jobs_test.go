@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"icsched/internal/dag"
+	"icsched/internal/difftest"
 	"icsched/internal/wal"
 )
 
@@ -21,26 +22,6 @@ func closeServer(s *Server) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return s.Close(ctx)
-}
-
-// fnvNodeValue mirrors the loadgen/difftest ground truth: FNV-1a over
-// the node ID and its parents' values — order-independent, so any
-// execution respecting the dependencies computes identical values.
-func fnvNodeValue(g *dag.Dag, v dag.NodeID, vals []uint64) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime
-			x >>= 8
-		}
-	}
-	mix(uint64(v))
-	for _, p := range g.Parents(v) {
-		mix(vals[p])
-	}
-	return h
 }
 
 // refVals executes a job's analyzed order serially — the reference the
@@ -57,7 +38,7 @@ func refVals(t *testing.T, sp Spec) (*dag.Dag, []uint64) {
 	}
 	vals := make([]uint64, g.NumNodes())
 	for _, v := range order {
-		vals[v] = fnvNodeValue(g, v, vals)
+		vals[v] = difftest.NodeValue(g, v, vals)
 	}
 	return g, vals
 }
@@ -101,7 +82,7 @@ func (h *harness) submit(sp Spec) string {
 // compute hashes one granted task (idempotent across re-grants).
 func (h *harness) compute(job string, task dag.NodeID) {
 	g := h.graphs[job]
-	h.vals[job][task] = fnvNodeValue(g, task, h.vals[job])
+	h.vals[job][task] = difftest.NodeValue(g, task, h.vals[job])
 }
 
 // drain loops allocate→compute→report until every tracked job is
